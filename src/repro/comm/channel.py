@@ -15,7 +15,7 @@ to it instead of to the raw transport.  In *pass-through* mode
 (``aggregate=False``, the ``--no-aggregation`` ablation) every staged
 sub-message is sent immediately as its own transport message, preserving
 the historical one-message-per-(field, peer, phase) wire shape bit for
-bit.
+bit, and each received payload comes back as a one-slot frame.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ class Channel:
 
     Holds at most one sub-message per field slot between a phase's
     stage calls and its flush.  A channel is *drained* when no staged
-    sub-message is waiting — the invariant the executor checks at every
-    round close (mail buffered past a flush boundary would silently
-    vanish from the round's traffic).
+    sub-message is waiting — the invariant the sync driver checks at the
+    end of every sync (mail buffered past a flush boundary would
+    silently vanish from the round's traffic).
     """
 
     __slots__ = ("src", "dst", "_staged")
@@ -166,16 +166,18 @@ class CommPlane:
         return flushed
 
     def receive_frames(self) -> List[Tuple[int, List[Optional[bytes]]]]:
-        """Drain the host's mailbox of aggregated buffers, decoded.
+        """Drain the host's mailbox of framed buffers, decoded.
 
         Returns ``(sender, per-field sub-messages)`` pairs in delivery
-        order; only meaningful in aggregating mode (pass-through traffic
-        is raw per-field payloads, drained by the legacy per-field
-        receive path).
+        order.  Pass-through traffic is raw single-field payloads, each
+        returned as a one-slot list, so one receive path serves both
+        modes.
         """
+        inbox = self.transport.receive_all(self.host)
+        if not self.aggregate:
+            return [(sender, [payload]) for sender, payload in inbox]
         return [
-            (sender, decode_frame(buffer))
-            for sender, buffer in self.transport.receive_all(self.host)
+            (sender, decode_frame(buffer)) for sender, buffer in inbox
         ]
 
     def assert_drained(self) -> None:

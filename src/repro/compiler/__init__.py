@@ -7,42 +7,38 @@ and generates the synchronization structures plus the sync call placement
 ("we have implemented this in a compiler for Galois").
 
 This subpackage is the Python rendering of that compiler.  An application
-is written as a *declarative operator specification*
-(:class:`~repro.compiler.spec.OperatorSpec`): field declarations and a
-vectorized edge kernel.  :func:`compile_operator` then generates a complete
+is written as a *declarative program specification*
+(:class:`~repro.compiler.spec.ProgramSpec`): field declarations, compute
+phases with vectorized kernels, and sync pairings.
+:func:`compile_program` renders a complete
 :class:`~repro.apps.base.VertexProgram` — state allocation, the local
 super-step, the Gluon field specs, and the strategy-legality analysis —
-from application-agnostic templates.
+as real Python source from application-agnostic templates.
 
-Example (sssp in six declarative lines)::
+Example (bfs as one push phase)::
 
-    spec = OperatorSpec(
-        name="sssp",
-        style=OperatorClass.PUSH,
-        field=FieldDecl("dist", np.uint32, reduce="min",
-                        init=Init.infinity_except_source()),
-        edge_kernel=lambda source_values, weights: source_values + weights,
-        needs_weights=True,
+    spec = ProgramSpec(
+        name="bfs",
+        fields=(FieldDecl("dist", np.uint32, reduce="min",
+                          init="np.full(n, INFINITY, dtype=np.uint32)",
+                          source_value="0"),),
+        phases=(PhaseSpec(name="relax", kind="frontier_push",
+                          target="dist", kernel="{src.dist} + 1",
+                          guard="{dist} != INFINITY"),),
+        sync=(SyncDecl(field="dist"),),
+        constants=(("INFINITY", np.uint32(np.iinfo(np.uint32).max)),),
+        frontier="source",
     )
-    sssp = compile_operator(spec)   # a ready-to-run VertexProgram
+    bfs = compile_program(spec)   # a ready-to-run VertexProgram
 
-The full pipeline is the multi-field, multi-phase
-:class:`~repro.compiler.spec.ProgramSpec` language:
-:func:`compile_program` renders real Python source from templates, the
-sync endpoints of every generated ``FieldSpec`` are *derived* from the
-phases' declared access sets (:func:`derive_endpoints`), and the
+The sync endpoints of every generated ``FieldSpec`` are *derived* from
+the phases' declared access sets (:func:`derive_endpoints`), and the
 GL001–GL011 lint rules verify the generated code (``repro lint
 --compiled``).  All migrated benchmark apps live as specs in
 :mod:`repro.apps.specs`, registered as ``<app>@compiled``.
 """
 
-from repro.compiler.analysis import (
-    SyncRequirements,
-    analyze_operator,
-    describe_program,
-    required_patterns,
-)
-from repro.compiler.codegen import CompiledVertexProgram, compile_operator
+from repro.compiler.analysis import describe_program, required_patterns
 from repro.compiler.program_codegen import (
     compile_program,
     render_program,
@@ -51,7 +47,6 @@ from repro.compiler.program_codegen import (
 from repro.compiler.spec import (
     FieldDecl,
     Init,
-    OperatorSpec,
     PhaseSpec,
     ProgramSpec,
     SyncDecl,
@@ -60,13 +55,8 @@ from repro.compiler.spec import (
 )
 
 __all__ = [
-    "OperatorSpec",
     "FieldDecl",
     "Init",
-    "compile_operator",
-    "CompiledVertexProgram",
-    "analyze_operator",
-    "SyncRequirements",
     "required_patterns",
     "ProgramSpec",
     "PhaseSpec",

@@ -45,7 +45,7 @@ from repro.partition.strategy import (
     check_strategy_legal,
 )
 
-#: Scatter-combine source text per reduction (mirrors codegen._SCATTER).
+#: Scatter-combine source text per reduction.
 _SCATTER_SRC: Dict[str, str] = {
     "min": "np.minimum.at",
     "max": "np.maximum.at",

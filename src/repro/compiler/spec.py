@@ -1,21 +1,15 @@
 """Declarative program specifications — the compiler's input language.
 
-Two spec layers live here:
-
-* :class:`OperatorSpec` — the original single-field, single-phase form:
-  one synchronized label, one reduction, one vectorized edge kernel.
-  Compiled by :class:`repro.compiler.codegen.CompiledVertexProgram`.
-
-* :class:`ProgramSpec` — the full multi-field, multi-phase language.
-  A program is an ordered tuple of :class:`PhaseSpec` compute phases
-  (push / sparse-pull / dense-pull, each a textual vectorized kernel
-  over declared :class:`FieldDecl` fields) plus :class:`SyncDecl`
-  synchronization pairings.  Crucially the sync *endpoints* — which
-  edge end a field is written at and which end it is read at, the
-  ``WriteAtDestination`` / ``ReadAtSource`` parameters of the paper's
-  Figure 4 — are **derived** from the phases' access sets by
-  :func:`derive_endpoints`; specs never hand-declare them.  Compiled to
-  real Python source by :func:`repro.compiler.program_codegen.compile_program`.
+A :class:`ProgramSpec` is a multi-field, multi-phase vertex program: an
+ordered tuple of :class:`PhaseSpec` compute phases (push / sparse-pull /
+dense-pull, each a textual vectorized kernel over declared
+:class:`FieldDecl` fields) plus :class:`SyncDecl` synchronization
+pairings.  Crucially the sync *endpoints* — which edge end a field is
+written at and which end it is read at, the ``WriteAtDestination`` /
+``ReadAtSource`` parameters of the paper's Figure 4 — are **derived**
+from the phases' access sets by :func:`derive_endpoints`; specs never
+hand-declare them.  Compiled to real Python source by
+:func:`repro.compiler.program_codegen.compile_program`.
 
 Kernel/guard strings reference fields through placeholders:
 
@@ -113,10 +107,9 @@ class FieldDecl:
             :data:`repro.core.sync_structures.REDUCTIONS`, or ``None``
             for a local (never-synchronized) field.
         init: Initializer.  Either a callable ``(part, ctx, dtype) ->
-            ndarray`` (the :class:`Init` factories; the only form the
-            legacy :class:`OperatorSpec` path accepts) or a Python
-            *source expression* rendered verbatim into the generated
-            ``make_state`` (:class:`ProgramSpec` path).  Expressions may
+            ndarray`` (the :class:`Init` factories) or a Python *source
+            expression* rendered verbatim into the generated
+            ``make_state``.  Expressions may
             reference ``part``, ``ctx``, ``n`` (local node count),
             ``dim`` (the program's wide dimension), previously declared
             fields via ``state["..."]``, spec constants, and ``np``.
@@ -159,73 +152,6 @@ class FieldDecl:
         if self.reduce is None:
             return None
         return REDUCTIONS[self.reduce]
-
-
-@dataclass(frozen=True)
-class OperatorSpec:
-    """A complete operator description, ready to compile.
-
-    Attributes:
-        name: Application name.
-        style: Push (writes out-neighbors) or pull (writes the active node).
-        field: The synchronized label.
-        edge_kernel: Vectorized kernel.  For push: maps
-            ``(source_values, weights) -> candidate values`` written (via
-            the reduction) to each edge's destination.  For pull: maps
-            ``(neighbor_values, weights) -> contributions`` reduced into
-            the active node.
-        source_guard: Optional vectorized predicate over label values;
-            active nodes failing it do not apply the operator this step
-            (e.g. unreached nodes in sssp).
-        pull_targets: Optional vectorized predicate over label values
-            selecting the *destination* nodes a pull step gathers
-            in-edges for (e.g. still-unreached nodes).  ``None`` gathers
-            every local node each round (cc-style: any label can still
-            improve).
-        needs_weights: Whether the input must be edge-weighted.
-        symmetrize_input: Whether the input is symmetrized first (cc).
-        single_value_push: Whether the kernel pushes the same value on all
-            out-edges *modulo weights* — true for all kernels expressible
-            in this spec language; kept explicit for the legality analysis.
-        iterate_locally: Whether async engines may run the step to a local
-            fixpoint (legal for idempotent reductions only; forced False
-            otherwise).
-        uses_frontier: Data-driven (frontier) vs topology-driven.
-    """
-
-    name: str
-    style: OperatorClass
-    field: FieldDecl
-    edge_kernel: Callable
-    source_guard: Optional[Callable] = None
-    pull_targets: Optional[Callable] = None
-    needs_weights: bool = False
-    symmetrize_input: bool = False
-    single_value_push: bool = True
-    iterate_locally: bool = True
-    uses_frontier: bool = True
-
-    def __post_init__(self) -> None:
-        if self.field.reduce is None:
-            raise CompileError(
-                f"{self.name}: the operator's field must declare a reduction"
-            )
-        if not callable(self.field.init):
-            raise CompileError(
-                f"{self.name}: operator field initializers must be callable "
-                "(source-expression inits are a ProgramSpec feature)"
-            )
-        if not callable(self.edge_kernel):
-            raise CompileError(f"{self.name}: edge_kernel must be callable")
-        if self.source_guard is not None and not callable(self.source_guard):
-            raise CompileError(f"{self.name}: source_guard must be callable")
-        if self.pull_targets is not None and not callable(self.pull_targets):
-            raise CompileError(f"{self.name}: pull_targets must be callable")
-        if self.iterate_locally and not self.field.reduction.idempotent:
-            # Re-applying an ADD-combined operator within a round would
-            # double-count contributions; the compiler forbids it rather
-            # than trusting the author.
-            object.__setattr__(self, "iterate_locally", False)
 
 
 # ---------------------------------------------------------------------------

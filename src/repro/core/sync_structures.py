@@ -147,9 +147,11 @@ class FieldSpec:
         on_master_after_reduce: Optional hook run at each host between the
             reduce and broadcast phases.  Receives the boolean mask of
             masters whose reduced value changed and returns the mask of
-            masters to broadcast (or ``None`` to broadcast the changed
-            ones).  Pull-style pagerank uses this to turn reduced partial
-            sums into the contribution values it broadcasts.
+            masters to broadcast.  Returning ``None`` is the same as
+            having no hook: the masters the reduce changed or the compute
+            updated broadcast.  Pull-style pagerank uses this to turn
+            reduced partial sums into the contribution values it
+            broadcasts.
         writes: Edge endpoints where the compute phase may *write* this
             field — the paper's ``WriteAtDestination``/``WriteAtSource``
             sync parameters.  With structural optimization, only mirrors

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.runtime.sync import apply_hooks_locally, host_compute_time
+
 
 @dataclass
 class RoundData:
@@ -55,36 +57,29 @@ class InProcessRunner:
         """Nothing to launch: the executor's own state is the cluster."""
 
     def run_round(self, round_index: int) -> RoundData:
-        """Execute one round exactly as the executor always has."""
-        from repro.runtime.executor import SYNC_SCAN_PER_NODE_S
-
+        """Execute one round over every host of the executor."""
         ex = self.ex
         parts = ex.partitioned.partitions
-        num_hosts = len(parts)
-        frontiers = ex._frontiers
-        outcomes = ex._compute_round_all(parts, frontiers, round_index)
+        hosts = range(len(parts))
+        outcomes = ex._compute_round_all(parts, ex._frontiers, round_index)
+        num_fields = len(ex.fields[0]) if ex.enable_sync else 0
         comp_times = [
-            ex.engines[h].compute_time(outcomes[h].work)
-            for h in range(num_hosts)
+            host_compute_time(ex.engines[h], outcomes[h], parts[h], num_fields)
+            for h in hosts
         ]
-        if ex.enable_sync:
-            num_fields = len(ex.fields[0])
-            for h in range(num_hosts):
-                comp_times[h] += (
-                    parts[h].num_nodes * num_fields * SYNC_SCAN_PER_NODE_S
-                )
         pre_translations = [sub.stats.translations for sub in ex.substrates]
         next_frontiers = [o.updated.copy() for o in outcomes]
         if ex.enable_sync:
             ex._synchronize(outcomes, next_frontiers)
+            if ex.sanitizer is not None:
+                ex.sanitizer.note_sync_completed()
         else:
-            ex._apply_hooks_locally(next_frontiers)
-        if ex.sanitizer is not None and ex.enable_sync:
-            ex.sanitizer.note_sync_completed()
+            apply_hooks_locally(hosts, ex.fields, next_frontiers)
         fault_bytes = ex._take_round_fault_bytes()
-        comm_time, comm_bytes, comm_messages = ex._close_round(
-            comp_times, pre_translations
-        )
+        comm_time, comm_bytes, comm_messages = ex._close_round({
+            h: sub.stats.translations - pre_translations[h]
+            for h, sub in enumerate(ex.substrates)
+        })
         active = sum(int(f.sum()) for f in next_frontiers)
         residual_sum = None
         if ex.app.uses_frontier:

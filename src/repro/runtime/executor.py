@@ -3,14 +3,15 @@
 Execution proceeds in rounds: every host applies the operator to its own
 partition (through its engine), then all hosts take part in a global
 communication phase run by the Gluon substrate — reduce, master-side
-apply, broadcast.  By default the executor drives the substrate *per
-phase*: every field's sub-messages are staged into per-peer channels and
-each peer receives one aggregated multi-field buffer per phase
-(``2 × peer_pairs`` messages per round instead of
-``2 × num_fields × peer_pairs``).  ``aggregate_comm=False`` (the CLI's
-``--no-aggregation``) restores the historical per-field collective — one
-transport message per (field, peer, phase) — as an ablation; both modes
-produce bitwise-identical application results.  The executor is also the
+apply, broadcast — through the one sync driver of
+:mod:`repro.runtime.sync`.  By default every field's sub-messages are
+staged into per-peer channels and each peer receives one aggregated
+multi-field buffer per phase (``2 × peer_pairs`` messages per round
+instead of ``2 × num_fields × peer_pairs``).  ``aggregate_comm=False``
+(the CLI's ``--no-aggregation``) runs the same driver one field at a
+time over pass-through channels — one transport message per (field,
+peer, phase) — as an ablation; both modes produce bitwise-identical
+application results.  The executor is also the
 metrology layer: it converts counted work into simulated computation
 time, closes each transport round to capture its exact byte trace, and
 applies the alpha-beta model for communication time.
@@ -23,7 +24,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from repro.comm.frame import frame_overhead
 from repro.core.optimization import OptimizationLevel
 from repro.core.substrate import (
     GluonSubstrate,
@@ -44,12 +44,8 @@ from repro.resilience.faults import FaultInjector
 from repro.resilience.recovery import ResilienceConfig, recover
 from repro.resilience.transport import FaultyTransport
 from repro.runtime.stats import RoundRecord, RunResult
+from repro.runtime.sync import round_comm_time, synchronize
 from repro.runtime.timing import round_communication_time
-
-#: Simulated cost of the substrate scanning one proxy's dirty bit during a
-#: field synchronization.  This is the (small) per-round price of the
-#: Gluon layer that Table 4 measures on a single host.
-SYNC_SCAN_PER_NODE_S = 2.0e-10
 
 if TYPE_CHECKING:  # imported for annotations only (avoids an import cycle)
     from repro.apps.base import AppContext, VertexProgram
@@ -188,10 +184,10 @@ class DistributedExecutor:
         self._trace_clock = 0.0
         #: Per-round sync-phase records: (label, [(src, dst, nbytes)...],
         #: serialize_wall_s, apply_wall_s), filled by _synchronize when
-        #: tracing is on and turned into nested spans at round close.  In
-        #: aggregated mode the message list holds per-field *sub-message*
-        #: sizes (byte attribution inside the framed buffers); in
-        #: per-field mode it is the phase's slice of the transport trace.
+        #: tracing is on and turned into nested spans at round close.  The
+        #: message lists hold the staged per-field *sub-message* sizes
+        #: (byte attribution inside aggregated frames), plus a framing
+        #: record per aggregated phase for the frame headers.
         self._phase_records: List = []
         self._last_round_traffic = None
         #: The round-execution backend (created on the first run() call):
@@ -854,274 +850,39 @@ class DistributedExecutor:
         outcomes: List[RoundOutcome],
         next_frontiers: List[np.ndarray],
     ) -> None:
-        """Run the reduce/apply/broadcast collective for the round.
+        """Run the round's collective over every host.
 
-        Dispatches to the aggregated (phase-major, one framed buffer per
-        peer per phase) or per-field (field-major, the ``--no-aggregation``
-        ablation) driver.  With tracing enabled, each per-field phase's
-        messages and its wall-clock serialize/apply split are captured as
-        a phase record; :meth:`_trace_round` later maps the records onto
-        the simulated comm window as nested spans.
+        The one sync driver (:func:`repro.runtime.sync.synchronize`) over
+        the executor's substrates.  With tracing enabled it also captures
+        each phase's staged messages and wall-clock serialize/apply
+        split; :meth:`_trace_round` later maps those records onto the
+        simulated comm window as nested spans.
         """
+        records = None
         if self.tracer.enabled:
-            self._phase_records = []
-        if self.aggregate_comm:
-            self._synchronize_aggregated(outcomes, next_frontiers)
-        else:
-            self._synchronize_per_field(outcomes, next_frontiers)
-
-    def _broadcast_dirty(
-        self,
-        host: int,
-        field: FieldSpec,
-        reduce_changed: np.ndarray,
-        outcome: RoundOutcome,
-    ) -> np.ndarray:
-        """Master-side apply: which masters broadcast after the reduce."""
-        if field.on_master_after_reduce is not None:
-            return field.on_master_after_reduce(reduce_changed)
-        dirty = reduce_changed | outcome.updated
-        dirty[self.partitioned.partitions[host].num_masters :] = False
-        return dirty
-
-    def _synchronize_aggregated(
-        self,
-        outcomes: List[RoundOutcome],
-        next_frontiers: List[np.ndarray],
-    ) -> None:
-        """Phase-major collective over the channel layer.
-
-        Every field's reduce sub-messages are staged first, then each
-        channel flushes one multi-field framed buffer per peer; the
-        broadcast phase repeats the pattern.  Field-level results are
-        bitwise identical to the per-field driver: each field's arrays
-        are independent and every receiver applies senders in the same
-        mailbox order as before.
-        """
-        num_hosts = len(self.substrates)
-        num_fields = len(self.fields[0])
-        tracing = self.tracer.enabled
-
-        # -- reduce: stage all fields, flush, receive aggregated --------
-        reduce_msgs = [[] for _ in range(num_fields)]
-        ser_walls = [0.0] * num_fields
-        for i in range(num_fields):
-            if tracing:
-                wall_start = time.perf_counter()
-            for h in range(num_hosts):
-                staged = self.substrates[h].stage_reduce(
-                    i, self.fields[h][i], outcomes[h].updated
-                )
-                if tracing:
-                    reduce_msgs[i].extend(
-                        (h, peer, nbytes) for peer, nbytes in staged
-                    )
-            if tracing:
-                ser_walls[i] = time.perf_counter() - wall_start
-        flushed = [
-            self.substrates[h].flush_phase(num_fields)
-            for h in range(num_hosts)
-        ]
-        if tracing:
-            wall_start = time.perf_counter()
-        reduce_changed = [
-            self.substrates[h].receive_reduce_all(self.fields[h])
-            for h in range(num_hosts)
-        ]
-        if tracing:
-            apply_share = (time.perf_counter() - wall_start) / num_fields
-            for i in range(num_fields):
-                self._phase_records.append(
-                    (
-                        f"reduce:{self.fields[0][i].name}",
-                        reduce_msgs[i],
-                        ser_walls[i],
-                        apply_share,
-                    )
-                )
-            self._record_framing("reduce", flushed, num_fields)
-
-        # -- master-side apply ------------------------------------------
-        broadcast_dirty = []
-        for h in range(num_hosts):
-            per_host = []
-            for i in range(num_fields):
-                dirty = self._broadcast_dirty(
-                    h, self.fields[h][i], reduce_changed[h][i], outcomes[h]
-                )
-                per_host.append(dirty)
-                next_frontiers[h] |= reduce_changed[h][i] | dirty
-            broadcast_dirty.append(per_host)
-
-        # -- broadcast: stage all fields, flush, receive aggregated -----
-        broadcast_msgs = [[] for _ in range(num_fields)]
-        for i in range(num_fields):
-            if tracing:
-                wall_start = time.perf_counter()
-            for h in range(num_hosts):
-                staged = self.substrates[h].stage_broadcast(
-                    i, self.fields[h][i], broadcast_dirty[h][i]
-                )
-                if tracing:
-                    broadcast_msgs[i].extend(
-                        (h, peer, nbytes) for peer, nbytes in staged
-                    )
-            if tracing:
-                ser_walls[i] = time.perf_counter() - wall_start
-        flushed = [
-            self.substrates[h].flush_phase(num_fields)
-            for h in range(num_hosts)
-        ]
-        if tracing:
-            wall_start = time.perf_counter()
-        for h in range(num_hosts):
-            changed = self.substrates[h].receive_broadcast_all(self.fields[h])
-            for mask in changed:
-                next_frontiers[h] |= mask
-        if tracing:
-            apply_share = (time.perf_counter() - wall_start) / num_fields
-            for i in range(num_fields):
-                self._phase_records.append(
-                    (
-                        f"broadcast:{self.fields[0][i].name}",
-                        broadcast_msgs[i],
-                        ser_walls[i],
-                        apply_share,
-                    )
-                )
-            self._record_framing("broadcast", flushed, num_fields)
-
-    def _record_framing(
-        self, phase: str, flushed: List[List[tuple]], num_fields: int
-    ) -> None:
-        """Attribute the aggregated frames' header bytes to a trace record.
-
-        Per-field records carry sub-message bytes only; the fixed frame
-        header (count + length prefixes) belongs to the phase as a whole.
-        Recording it separately keeps the trace's phase byte totals
-        reconciling exactly with the transport's round volume.
-        """
-        overhead = frame_overhead(num_fields)
-        framing = [
-            (h, peer, overhead)
-            for h, per_host in enumerate(flushed)
-            for peer, _ in per_host
-        ]
-        if framing:
-            self._phase_records.append((f"framing:{phase}", framing, 0.0, 0.0))
-
-    def _synchronize_per_field(
-        self,
-        outcomes: List[RoundOutcome],
-        next_frontiers: List[np.ndarray],
-    ) -> None:
-        """Field-major collective: the pre-aggregation wire shape.
-
-        Each field runs the full four-step collective before the next
-        field starts — one transport message per (field, peer, phase).
-        Receives must follow each field's sends because raw payloads
-        carry no field identity on the wire.
-        """
-        num_hosts = len(self.substrates)
-        num_fields = len(self.fields[0])
-        tracing = self.tracer.enabled
-        if tracing:
-            messages = self.transport.stats.current_round.messages
-        for field_index in range(num_fields):
-            fields = [self.fields[h][field_index] for h in range(num_hosts)]
-            if tracing:
-                msg_start = len(messages)
-                wall_start = time.perf_counter()
-            for h in range(num_hosts):
-                self.substrates[h].send_reduce(fields[h], outcomes[h].updated)
-            if tracing:
-                wall_sent = time.perf_counter()
-            reduce_changed = [
-                self.substrates[h].receive_reduce(fields[h])
-                for h in range(num_hosts)
-            ]
-            if tracing:
-                self._phase_records.append(
-                    (
-                        f"reduce:{fields[0].name}",
-                        list(messages[msg_start:]),
-                        wall_sent - wall_start,
-                        time.perf_counter() - wall_sent,
-                    )
-                )
-                msg_start = len(messages)
-                wall_start = time.perf_counter()
-            broadcast_dirty = []
-            for h in range(num_hosts):
-                dirty = self._broadcast_dirty(
-                    h, fields[h], reduce_changed[h], outcomes[h]
-                )
-                broadcast_dirty.append(dirty)
-                next_frontiers[h] |= reduce_changed[h] | dirty
-            for h in range(num_hosts):
-                self.substrates[h].send_broadcast(fields[h], broadcast_dirty[h])
-            if tracing:
-                wall_sent = time.perf_counter()
-            for h in range(num_hosts):
-                changed = self.substrates[h].receive_broadcast(fields[h])
-                next_frontiers[h] |= changed
-            if tracing:
-                self._phase_records.append(
-                    (
-                        f"broadcast:{fields[0].name}",
-                        list(messages[msg_start:]),
-                        wall_sent - wall_start,
-                        time.perf_counter() - wall_sent,
-                    )
-                )
-
-    def _apply_hooks_locally(self, next_frontiers: List[np.ndarray]) -> None:
-        """Run master-side apply hooks when sync is disabled (1 host)."""
-        for h, field_list in enumerate(self.fields):
-            for field in field_list:
-                if field.on_master_after_reduce is not None:
-                    no_changes = np.zeros(len(field.values), dtype=bool)
-                    dirty = field.on_master_after_reduce(no_changes)
-                    if dirty is not None:
-                        next_frontiers[h] |= dirty
+            self._phase_records = records = []
+        synchronize(
+            range(len(self.substrates)),
+            self.substrates,
+            self.fields,
+            outcomes,
+            next_frontiers,
+            records=records,
+        )
 
     # -- timing ---------------------------------------------------------------------
 
-    def _close_round(
-        self, comp_times: List[float], pre_translations: List[int]
-    ):
-        """Close the transport round; return (comm_time, bytes, messages)."""
-        num_hosts = self.partitioned.num_hosts
-        if self.transport is None:
-            return 0.0, 0, 0
-        # Channel drain guard: a field staged after the phase flush would
-        # sit in a buffer forever — fail loudly at the round boundary,
-        # complementing the transport's own undelivered-mail detection.
-        for sub in self.substrates:
-            sub.assert_drained()
+    def _close_round(self, translation_deltas: Dict[int, int]):
+        """Close the transport round; return (comm_time, bytes, messages).
+
+        ``translation_deltas`` maps each syncing host to the address
+        translations its substrate performed this round.
+        """
         traffic = self.transport.stats.current_round
         self._last_round_traffic = traffic
         self.transport.end_round()
-        extras = [0.0] * num_hosts
-        if self.substrates:
-            for h, sub in enumerate(self.substrates):
-                delta = sub.stats.translations - pre_translations[h]
-                extras[h] += delta * self.engines[h].cost.translation_s
-        sent, received = traffic.bytes_by_host(num_hosts)
-        for h in range(num_hosts):
-            cost = self.engines[h].cost
-            if not (
-                self.engines[h].is_gpu and cost.device_bandwidth_bytes_per_s
-            ):
-                continue
-            moved = sent[h] + received[h]
-            if moved:
-                extras[h] += (
-                    moved / cost.device_bandwidth_bytes_per_s
-                    + 2 * cost.device_latency_s
-                )
-        comm_time = round_communication_time(
-            traffic, num_hosts, self.cost_model, extras
+        comm_time = round_comm_time(
+            traffic, self.engines, self.cost_model, translation_deltas
         )
         return comm_time, traffic.total_bytes, traffic.num_messages
 
@@ -1195,10 +956,9 @@ class DistributedExecutor:
         window is apportioned among phases by their exact byte volumes,
         and each phase is split into its serialize (encode+send) and
         apply (decode+reduce/set) halves by measured wall-time ratio.
-        Each record carries its own (src, dst, nbytes) message list: the
-        phase's transport slice in per-field mode, the per-field
-        sub-message sizes inside the aggregated buffers otherwise — so
-        per-field spans survive aggregation via byte attribution.
+        Each record carries its own (src, dst, nbytes) message list of
+        staged per-field sub-message sizes — so per-field spans survive
+        aggregation via byte attribution.
         """
         records = self._phase_records
         if not records:

@@ -92,6 +92,15 @@ class TestCommPlane:
         assert plane.flush(1, peer_order=[1]) == []
         plane.assert_drained()  # nothing ever buffers in pass-through
 
+    def test_pass_through_receives_one_slot_frames(self):
+        transport = InProcessTransport(3)
+        for src in (1, 2):
+            CommPlane(src, transport, aggregate=False).stage(
+                0, 0, b"raw%d" % src
+            )
+        plane = CommPlane(0, transport, aggregate=False)
+        assert plane.receive_frames() == [(1, [b"raw1"]), (2, [b"raw2"])]
+
     def test_flush_clears_and_plane_drains(self):
         transport = InProcessTransport(2)
         plane = CommPlane(0, transport, aggregate=True)

@@ -25,22 +25,24 @@ from repro.apps.specs import (
 )
 from repro.compiler import (
     FieldDecl,
-    Init,
-    OperatorSpec,
     PhaseSpec,
     ProgramSpec,
     SyncDecl,
-    compile_operator,
     compile_program,
     derive_endpoints,
+    describe_program,
     render_program,
+    required_patterns,
     verify_compiled,
 )
 from repro.compiler.spec import CompileError
+from repro.engines import make_engine
 from repro.graph.generators import rmat
 from repro.partition import make_partitioner
-from repro.partition.strategy import OperatorClass
+from repro.partition.strategy import PartitionStrategy
+from repro.runtime.executor import DistributedExecutor
 from repro.systems import prepare_input, run_app
+from tests.conftest import reference_bfs
 
 #: Output field per migrated app (the key the oracle checks, too).
 RESULT_KEY = {
@@ -252,36 +254,32 @@ class TestRegistry:
 
 
 class TestPullTargetRestriction:
-    """The legacy operator path's pull template must honor pull_targets
-    (gather only destinations that can still improve)."""
+    """A sparse_pull phase must honor its pull-target predicate (gather
+    only destinations that can still improve)."""
 
     def _bfs_spec(self, with_targets):
-        infinity = np.iinfo(np.uint32).max
-        return OperatorSpec(
-            name="bfs-pull",
-            style=OperatorClass.PULL,
-            field=FieldDecl(
-                "dist", np.uint32, reduce="min",
-                init=Init.infinity_except_source(),
-            ),
-            edge_kernel=lambda values, weights: values + 1,
-            source_guard=lambda values: values != infinity,
-            pull_targets=(
-                (lambda values: values == infinity) if with_targets else None
+        push, pull = BFS_SPEC.phases
+        return dataclasses.replace(
+            BFS_SPEC,
+            name="bfs-targets" if with_targets else "bfs-all-targets",
+            phases=(
+                push,
+                pull if with_targets
+                else dataclasses.replace(pull, pull_targets=None),
             ),
         )
 
     def _second_pull(self, with_targets):
         prep = prepare_input("bfs", GRAPH)
-        program = compile_operator(self._bfs_spec(with_targets))
+        program = compile_program(self._bfs_spec(with_targets))
         part = make_partitioner("oec").partition(prep.edges, 1).partitions[0]
         state = program.make_state(part, prep.ctx)
         frontier = program.initial_frontier(part, state, prep.ctx)
         # The first pull settles level 1; the second is where the
         # target restriction pays (most nodes are still unreached).
-        program.step(part, state, frontier)
+        program.step(part, state, frontier, direction="pull")
         frontier = state["dist"] != np.iinfo(np.uint32).max
-        return program.step(part, state, frontier)
+        return program.step(part, state, frontier, direction="pull")
 
     def test_pull_targets_shrink_the_gather(self):
         restricted = self._second_pull(with_targets=True)
@@ -299,3 +297,51 @@ class TestPullTargetRestriction:
         assert np.array_equal(
             restricted.updated, unrestricted.updated
         )
+
+
+class TestCompiledPrograms:
+    """Engine coverage, overflow-safe kernels, compile-time rejection and
+    the strategy plan on the spec path."""
+
+    @pytest.mark.parametrize("engine", ["galois", "ligra", "irgl"])
+    def test_compiled_bfs_runs_on_every_engine(self, small_rmat, engine):
+        prep = prepare_input("bfs", small_rmat)
+        partitioned = make_partitioner("cvc").partition(prep.edges, 4)
+        executor = DistributedExecutor(
+            partitioned, make_engine(engine), make_compiled_app("bfs"),
+            prep.ctx,
+        )
+        executor.run()
+        got = executor.gather_result("dist").astype(np.uint64)
+        assert np.array_equal(got, reference_bfs(prep.edges, prep.ctx.source))
+
+    def test_compiled_sssp_clips_instead_of_wrapping(self, small_path):
+        """INF + weight must clip to INF, never wrap around."""
+        result = run_app(
+            "d-galois", "sssp@compiled", small_path, num_hosts=2, policy="oec"
+        )
+        dist = result.executor.gather_result("dist")
+        inf = np.iinfo(np.uint32).max
+        assert np.all((dist <= 40 * 100) | (dist == inf))
+
+    def test_assign_reduction_rejected(self):
+        spec = dataclasses.replace(
+            BFS_SPEC,
+            name="bfs-assign",
+            fields=(dataclasses.replace(BFS_SPEC.fields[0], reduce="assign"),),
+        )
+        with pytest.raises(CompileError, match="scatter-combine"):
+            compile_program(spec)
+
+    def test_required_patterns_match_section32(self):
+        assert required_patterns(PartitionStrategy.OEC) == (True, False)
+        assert required_patterns(PartitionStrategy.IEC) == (False, True)
+        for strategy in (PartitionStrategy.UVC, PartitionStrategy.CVC):
+            assert required_patterns(strategy) == (True, True)
+
+    def test_describe_program_renders_the_plan(self):
+        text = describe_program(spec_for("sssp"))
+        assert text.startswith("program sssp: push-style")
+        assert "derived writes=['destination'] reads=['source']" in text
+        assert "oec: reduce" in text and "iec: broadcast" in text
+        assert "ILLEGAL" not in text

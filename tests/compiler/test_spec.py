@@ -1,10 +1,9 @@
-"""Unit tests for the operator-specification language."""
+"""Unit tests for the spec language's field declarations and initializers."""
 
 import numpy as np
 import pytest
 
-from repro.compiler.spec import CompileError, FieldDecl, Init, OperatorSpec
-from repro.partition.strategy import OperatorClass
+from repro.compiler.spec import CompileError, FieldDecl, Init
 
 
 def min_field():
@@ -68,47 +67,3 @@ class TestInit:
         values = Init.zero_except_source(99)(part, ctx, np.uint32)
         assert values[0] == 99
         assert np.all(values[1:] == 0)
-
-
-class TestOperatorSpec:
-    def test_valid_spec(self):
-        spec = OperatorSpec(
-            name="sssp",
-            style=OperatorClass.PUSH,
-            field=min_field(),
-            edge_kernel=lambda values, weights: values + weights,
-        )
-        assert spec.iterate_locally  # min is idempotent
-
-    def test_non_callable_kernel(self):
-        with pytest.raises(CompileError, match="edge_kernel"):
-            OperatorSpec(
-                name="x",
-                style=OperatorClass.PUSH,
-                field=min_field(),
-                edge_kernel=None,
-            )
-
-    def test_non_callable_guard(self):
-        with pytest.raises(CompileError, match="source_guard"):
-            OperatorSpec(
-                name="x",
-                style=OperatorClass.PUSH,
-                field=min_field(),
-                edge_kernel=lambda v, w: v,
-                source_guard=5,
-            )
-
-    def test_add_reduction_forces_single_step(self):
-        """The compiler must refuse to chaotically iterate a non-idempotent
-        operator (double counting)."""
-        spec = OperatorSpec(
-            name="accum",
-            style=OperatorClass.PUSH,
-            field=FieldDecl(
-                "total", np.uint32, reduce="add", init=Init.constant(0)
-            ),
-            edge_kernel=lambda values, weights: values,
-            iterate_locally=True,  # author asks; compiler overrides
-        )
-        assert not spec.iterate_locally

@@ -1,7 +1,8 @@
 """Unit tests for the Gluon substrate's synchronization collective.
 
-These drive the four-phase sync directly (without the executor) against
-hand-checkable partitions, for every optimization level.
+These drive the stage/flush/receive sync directly (without the executor)
+over pass-through planes, one field per phase, against hand-checkable
+partitions, for every optimization level.
 """
 
 import numpy as np
@@ -29,9 +30,10 @@ def make_setup(edges, policy, num_hosts, level):
 def run_sync(subs, fields, dirty_masks):
     """Drive one full reduce+broadcast collective; returns changed masks."""
     for sub, field, dirty in zip(subs, fields, dirty_masks):
-        sub.send_reduce(field, dirty)
+        sub.stage_reduce(0, field, dirty)
+        sub.flush_phase(1)
     reduce_changed = [
-        sub.receive_reduce(field) for sub, field in zip(subs, fields)
+        sub.receive_reduce_all([field])[0] for sub, field in zip(subs, fields)
     ]
     broadcast_dirty = []
     for sub, field, dirty, changed in zip(
@@ -41,9 +43,10 @@ def run_sync(subs, fields, dirty_masks):
         bdirty[sub.partition.num_masters :] = False
         broadcast_dirty.append(bdirty)
     for sub, field, bdirty in zip(subs, fields, broadcast_dirty):
-        sub.send_broadcast(field, bdirty)
+        sub.stage_broadcast(0, field, bdirty)
+        sub.flush_phase(1)
     broadcast_changed = [
-        sub.receive_broadcast(field) for sub, field in zip(subs, fields)
+        sub.receive_broadcast_all([field])[0] for sub, field in zip(subs, fields)
     ]
     return reduce_changed, broadcast_changed
 
@@ -143,9 +146,9 @@ def test_add_reduce_sums_partials_and_resets_mirrors(small_rmat, level):
     # Reduce phase only: a UVC mirror may be both reduce-sender and
     # broadcast-receiver, so broadcasting would overwrite the reset value.
     for sub, field, mask in zip(subs, fields, dirty):
-        sub.send_reduce(field, mask)
+        sub.stage_reduce(0, field, mask)
     for sub, field in zip(subs, fields):
-        sub.receive_reduce(field)
+        sub.receive_reduce_all([field])
     for part, field in zip(partitioned.partitions, fields):
         master_gids = part.local_to_global[: part.num_masters]
         expected = contributions[master_gids]
@@ -169,10 +172,10 @@ def test_dirty_mask_validation(small_rmat):
         reduce_op=MIN,
     )
     with pytest.raises(SyncError):
-        subs[0].send_reduce(field, np.zeros(3, dtype=bool))
+        subs[0].stage_reduce(0, field, np.zeros(3, dtype=bool))
     with pytest.raises(SyncError):
-        subs[0].send_reduce(
-            field, np.zeros(subs[0].partition.num_nodes, dtype=np.uint8)
+        subs[0].stage_reduce(
+            0, field, np.zeros(subs[0].partition.num_nodes, dtype=np.uint8)
         )
 
 
@@ -250,4 +253,4 @@ def test_unexpected_memoized_sender_rejected(small_rmat):
     )
     transport.send(1, 0, bogus)
     with pytest.raises(SyncError):
-        subs[0].receive_reduce(field)
+        subs[0].receive_reduce_all([field])

@@ -40,18 +40,20 @@ def sync_scenarios(draw):
 
 def run_collective(subs, fields, dirty_masks):
     for sub, field, dirty in zip(subs, fields, dirty_masks):
-        sub.send_reduce(field, dirty)
+        sub.stage_reduce(0, field, dirty)
+        sub.flush_phase(1)
     reduce_changed = [
-        sub.receive_reduce(field) for sub, field in zip(subs, fields)
+        sub.receive_reduce_all([field])[0] for sub, field in zip(subs, fields)
     ]
     for sub, field, dirty, changed in zip(
         subs, fields, dirty_masks, reduce_changed
     ):
         bdirty = changed | dirty
         bdirty[sub.partition.num_masters :] = False
-        sub.send_broadcast(field, bdirty)
+        sub.stage_broadcast(0, field, bdirty)
+        sub.flush_phase(1)
     for sub, field in zip(subs, fields):
-        sub.receive_broadcast(field)
+        sub.receive_broadcast_all([field])
 
 
 @given(scenario=sync_scenarios())
@@ -140,9 +142,9 @@ def test_add_collective_matches_oracle(scenario):
     # that are both writers and readers (the executor's apps use derived
     # broadcast arrays for that; here we check the reduction itself).
     for sub, field, dirty in zip(subs, fields, dirty_masks):
-        sub.send_reduce(field, dirty)
+        sub.stage_reduce(0, field, dirty)
     for sub, field in zip(subs, fields):
-        sub.receive_reduce(field)
+        sub.receive_reduce_all([field])
 
     for part, field in zip(partitioned.partitions, fields):
         master_gids = part.local_to_global[: part.num_masters]

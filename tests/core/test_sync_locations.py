@@ -129,9 +129,10 @@ class TestWriteAtSourceCollective:
             dirty[mirrors] = True
             dirty_masks.append(dirty)
         for sub, field, dirty in zip(subs, fields, dirty_masks):
-            sub.send_reduce(field, dirty)
+            sub.stage_reduce(0, field, dirty)
+            sub.flush_phase(1)
         for sub, field in zip(subs, fields):
-            sub.receive_reduce(field)
+            sub.receive_reduce_all([field])
         for part, field in zip(partitioned.partitions, fields):
             master_gids = part.local_to_global[: part.num_masters]
             got = field.values[: part.num_masters].astype(np.int64)

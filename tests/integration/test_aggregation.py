@@ -7,14 +7,18 @@ fraction of the messages (one framed buffer per peer per phase instead
 of one message per field, peer, and phase).
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.comm.frame import frame_overhead
 from repro.core.optimization import OptimizationLevel
 from repro.errors import TransportError
 from repro.graph.generators import rmat
 from repro.observability import Observability
 from repro.resilience import FaultPlan, ResilienceConfig
+from repro.runtime.sync import synchronize
 from repro.systems import run_app
 
 EDGES = rmat(scale=8, edge_factor=6, seed=13)
@@ -72,14 +76,21 @@ class TestBitwiseEquivalence:
             answer(aggregated, "sssp"), answer(ablated, "sssp")
         )
 
-    def test_byte_payloads_identical_modulo_framing(self):
+    @pytest.mark.parametrize("app", ["bfs", "sssp", "pr"])
+    @pytest.mark.parametrize("policy", ["oec", "cvc"])
+    def test_byte_payloads_identical_modulo_framing(self, app, policy):
         """Per-round sub-message bytes differ only by the frame headers."""
-        aggregated, ablated = run_pair("bfs")
+        aggregated, ablated = run_pair(app, policy=policy)
         assert len(aggregated.rounds) == len(ablated.rounds)
         for agg_round, abl_round in zip(aggregated.rounds, ablated.rounds):
             # Aggregation never sends more messages, and each aggregated
-            # message costs exactly one frame header over its payloads.
+            # message of a single-field app wraps exactly one raw payload
+            # in a one-slot frame header.
             assert agg_round.comm_messages <= abl_round.comm_messages
+            assert agg_round.comm_bytes == (
+                abl_round.comm_bytes
+                + agg_round.comm_messages * frame_overhead(1)
+            )
 
 
 class TestMessageReduction:
@@ -165,15 +176,31 @@ class TestAccounting:
 
 
 class TestDrainGuard:
-    def test_round_close_detects_unflushed_channel(self):
-        """A sub-message staged past its phase flush fails the round."""
+    def test_sync_detects_sub_message_staged_after_last_flush(self):
+        """A sub-message staged past the final phase flush fails the sync."""
         result = run_app("d-galois", "bfs", EDGES, num_hosts=4, policy="cvc")
         executor = result.executor
         substrate = executor.substrates[0]
         peer = substrate.peer_order[0]
-        substrate.plane.stage(peer, 0, b"\x00\x01")
+        flushes = []
+
+        def stage_after_broadcast_flush():
+            flushes.append(None)
+            if len(flushes) == 2:
+                substrate.plane.stage(peer, 0, b"\x00\x01")
+
+        parts = executor.partitioned.partitions
+        outcomes = [
+            SimpleNamespace(updated=np.zeros(p.num_nodes, dtype=bool))
+            for p in parts
+        ]
+        frontiers = [np.zeros(p.num_nodes, dtype=bool) for p in parts]
         with pytest.raises(TransportError, match="un-flushed channel"):
-            executor._close_round(
-                [0.0] * 4,
-                [s.stats.translations for s in executor.substrates],
+            synchronize(
+                range(len(parts)),
+                executor.substrates,
+                executor.fields,
+                outcomes,
+                frontiers,
+                after_flush=stage_after_broadcast_flush,
             )

@@ -126,7 +126,8 @@ class TestFigure7:
                 )
             ]
             for sub, field, outcome in zip(subs, fields, outcomes):
-                sub.send_reduce(field, outcome.updated)
+                sub.stage_reduce(0, field, outcome.updated)
+                sub.flush_phase(1)
             captured = None
             if inspect_wire:
                 inbox = transport.receive_all(1)
@@ -136,16 +137,17 @@ class TestFigure7:
                 transport.send(0, 1, captured)
                 transport.stats.rounds[-1].messages.pop()
             changed = [
-                sub.receive_reduce(field)
+                sub.receive_reduce_all([field])[0]
                 for sub, field in zip(subs, fields)
             ]
             for host in range(2):
                 part = partitioned.partitions[host]
                 dirty = changed[host] | outcomes[host].updated
                 dirty[part.num_masters :] = False
-                subs[host].send_broadcast(fields[host], dirty)
+                subs[host].stage_broadcast(0, fields[host], dirty)
+                subs[host].flush_phase(1)
             for host in range(2):
-                extra = subs[host].receive_broadcast(fields[host])
+                extra = subs[host].receive_broadcast_all([fields[host]])[0]
                 frontiers[host] = (
                     outcomes[host].updated | changed[host] | extra
                 )

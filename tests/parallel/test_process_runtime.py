@@ -14,6 +14,7 @@ import pytest
 from repro.apps import make_app
 from repro.engines import make_engine
 from repro.errors import ExecutionError
+from repro.graph.generators import rmat
 from repro.observability import Observability
 from repro.partition import make_partitioner
 from repro.resilience import FaultPlan, ResilienceConfig
@@ -37,6 +38,10 @@ APPS = [
     ("kcore", "alive"),
     ("bc", "delta"),
 ]
+
+
+#: Big enough that bc's two-field forward sweep ships real traffic.
+PER_FIELD_EDGES = rmat(scale=8, edge_factor=6, seed=13)
 
 
 @pytest.fixture(autouse=True)
@@ -115,21 +120,27 @@ class TestBitwiseIdentity:
         )
         assert_identical(sim, proc, "dist")
 
-    def test_per_field_comm_mode(self, tiny_edges):
-        """--no-aggregation composes with --runtime process."""
+    @pytest.mark.parametrize("app_name,key", [("bfs", "dist"), ("bc", "delta")])
+    def test_per_field_comm_mode(self, app_name, key):
+        """--no-aggregation composes with --runtime process.
+
+        bc's forward sweep syncs two fields, so the worker runs the
+        per-field collective once per field within a round.
+        """
         sim = run_app(
-            "d-galois", "bfs", tiny_edges, num_hosts=4, aggregate_comm=False
+            "d-galois", app_name, PER_FIELD_EDGES, num_hosts=4,
+            aggregate_comm=False,
         )
         proc = run_app(
             "d-galois",
-            "bfs",
-            tiny_edges,
+            app_name,
+            PER_FIELD_EDGES,
             num_hosts=4,
             aggregate_comm=False,
             runtime="process",
             workers=2,
         )
-        assert_identical(sim, proc, "dist")
+        assert_identical(sim, proc, key)
 
     def test_other_engines(self, tiny_edges):
         for system in ("d-ligra", "d-hybrid"):
