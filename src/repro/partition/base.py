@@ -108,10 +108,7 @@ class LocalPartition:
             mirror_master_host, dtype=np.int32
         )
         self.strategy: Optional["PartitionStrategy"] = None
-        self._global_to_local = {
-            int(gid): lid for lid, gid in enumerate(self.local_to_global)
-        }
-        # Lazily built sort order for bulk translation (to_local_array).
+        # Lazily built sort order for global->local translation.
         self._l2g_order: Optional[np.ndarray] = None
         self._l2g_sorted: Optional[np.ndarray] = None
 
@@ -146,23 +143,26 @@ class LocalPartition:
         return int(self.local_to_global[local_id])
 
     def to_local(self, global_id: int) -> int:
-        """Translate a global ID to this host's local ID.
+        """Translate one global ID to this host's local ID.
 
-        Raises ``KeyError`` if this host holds no proxy for the node.
+        The scalar form of :meth:`to_local_array`; raises ``KeyError`` if
+        this host holds no proxy for the node.
         """
-        return self._global_to_local[int(global_id)]
+        return int(self.to_local_array(np.array([global_id]))[0])
 
     def to_local_array(self, global_ids: np.ndarray) -> np.ndarray:
-        """Translate many global IDs to local IDs in one vectorized lookup.
+        """Translate global IDs to this host's local IDs.
 
-        The bulk twin of :meth:`to_local` — a sorted binary search over
-        the proxy table instead of a per-ID dict probe, used on every
-        GLOBAL_IDS decode and in the memoization exchange.
+        The one global->local translation path: a binary search over the
+        proxy table sorted once on first use, with no per-proxy dict.  It
+        serves every GLOBAL_IDS decode and the memoization exchange;
+        :meth:`to_local` and :meth:`has_proxy` are its scalar forms.
 
-        Raises ``KeyError`` naming the first unknown ID if any global ID
-        has no proxy on this host.
+        Raises ``KeyError`` naming the first ID (in input order, as
+        given) that has no proxy on this host, including IDs outside
+        ``[0, 2**32)``.
         """
-        gids = np.ascontiguousarray(global_ids, dtype=np.uint32)
+        gids = np.asarray(global_ids)
         if len(gids) == 0:
             return np.empty(0, dtype=np.uint32)
         if self._l2g_order is None:
@@ -170,17 +170,30 @@ class LocalPartition:
                 np.uint32
             )
             self._l2g_sorted = self.local_to_global[self._l2g_order]
-        pos = np.searchsorted(self._l2g_sorted, gids)
-        pos_clipped = np.minimum(pos, len(self._l2g_sorted) - 1)
-        misses = self._l2g_sorted[pos_clipped] != gids
+        if np.can_cast(gids.dtype, np.uint32):
+            in_range = None
+            ids = gids.astype(np.uint32, copy=False)
+        else:
+            in_range = (gids >= 0) & (gids <= np.iinfo(np.uint32).max)
+            ids = np.where(in_range, gids, 0).astype(np.uint32)
+        if self.num_nodes == 0:
+            raise KeyError(int(gids[0]))
+        pos = np.searchsorted(self._l2g_sorted, ids)
+        np.minimum(pos, self.num_nodes - 1, out=pos)
+        misses = self._l2g_sorted[pos] != ids
+        if in_range is not None:
+            misses |= ~in_range
         if misses.any():
-            missing = int(gids[misses][0])
-            raise KeyError(missing)
-        return self._l2g_order[pos_clipped]
+            raise KeyError(int(gids[np.argmax(misses)]))
+        return self._l2g_order[pos]
 
     def has_proxy(self, global_id: int) -> bool:
         """Whether this host holds a proxy for the global node."""
-        return int(global_id) in self._global_to_local
+        try:
+            self.to_local(global_id)
+        except KeyError:
+            return False
+        return True
 
     def master_host_of_mirror(self, local_id: int) -> int:
         """Host owning the master of the mirror at ``local_id``."""
@@ -271,6 +284,18 @@ def _chunk_boundaries(weights: np.ndarray, num_chunks: int) -> np.ndarray:
     return np.maximum.accumulate(boundaries)
 
 
+def incident_mask(num_nodes: int, *endpoints: np.ndarray) -> np.ndarray:
+    """Boolean mark of the nodes that appear in any of ``endpoints``.
+
+    ``np.flatnonzero`` of the mark is the sorted set ``np.unique`` of the
+    concatenated endpoints would give, in one linear pass with no hash.
+    """
+    mark = np.zeros(num_nodes, dtype=bool)
+    for ids in endpoints:
+        mark[ids] = True
+    return mark
+
+
 def build_local_partition(
     edges: EdgeList,
     assignment: EdgeAssignment,
@@ -295,18 +320,18 @@ def build_local_partition(
     src = edges.src[edge_mask]
     dst = edges.dst[edge_mask]
     weight = edges.weight[edge_mask] if edges.weight is not None else None
+    endpoints = [src, dst]
     if assignment.extra_proxies is not None:
-        extra = np.ascontiguousarray(
-            assignment.extra_proxies[host], dtype=np.uint32
+        endpoints.append(
+            np.ascontiguousarray(assignment.extra_proxies[host], dtype=np.uint32)
         )
-        incident = np.unique(np.concatenate([src, dst, extra]))
-    else:
-        incident = np.unique(np.concatenate([src, dst]))
-    owned = np.flatnonzero(assignment.master_host == host).astype(np.uint32)
+    is_owned = assignment.master_host == host
     # Masters: every node owned by this host (incident or isolated).
-    # Mirrors: incident nodes owned elsewhere.
-    incident_owner = assignment.master_host[incident]
-    mirrors = incident[incident_owner != host].astype(np.uint32)
+    # Mirrors: incident nodes owned elsewhere.  Both come out sorted.
+    owned = np.flatnonzero(is_owned).astype(np.uint32)
+    mirror_mask = incident_mask(edges.num_nodes, *endpoints)
+    mirror_mask &= ~is_owned
+    mirrors = np.flatnonzero(mirror_mask).astype(np.uint32)
     local_to_global = np.concatenate([owned, mirrors])
     num_masters = len(owned)
     gid_to_lid[local_to_global] = np.arange(len(local_to_global))

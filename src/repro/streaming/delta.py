@@ -47,6 +47,7 @@ from repro.partition.base import (
     PartitionedGraph,
     Partitioner,
     build_local_partition,
+    incident_mask,
 )
 
 
@@ -395,8 +396,10 @@ def signature_of_host(
                 assignment.extra_proxies[host], dtype=np.uint32
             ).tobytes()
         )
-    incident = np.unique(np.concatenate([src, dst]))
-    mirrors = incident[assignment.master_host[incident] != host]
+    mirrors = np.flatnonzero(
+        incident_mask(edges.num_nodes, src, dst)
+        & (assignment.master_host != host)
+    )
     digest.update(
         assignment.master_host[mirrors].astype(np.int32).tobytes()
     )

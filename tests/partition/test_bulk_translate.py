@@ -8,6 +8,7 @@ and reject unknown IDs the same way.
 import numpy as np
 import pytest
 
+from repro.graph.edgelist import EdgeList
 from repro.graph.generators import rmat
 from repro.partition.edge_cut import OutgoingEdgeCut
 
@@ -62,3 +63,35 @@ class TestToLocalArray:
         assert np.array_equal(
             part.to_local_array(gids), np.arange(5, dtype=np.uint32)
         )
+
+
+class TestMisses:
+    def test_host_without_proxies_raises_keyerror(self):
+        edges = EdgeList(
+            num_nodes=2,
+            src=np.array([0], dtype=np.uint32),
+            dst=np.array([1], dtype=np.uint32),
+        )
+        empty = OutgoingEdgeCut().partition(edges, 2).partitions[0]
+        assert empty.num_nodes == 0
+        with pytest.raises(KeyError) as excinfo:
+            empty.to_local_array(np.array([0]))
+        assert excinfo.value.args[0] == 0
+        assert not empty.has_proxy(0)
+
+    def test_ids_past_uint32_do_not_wrap(self, partitions):
+        part = partitions[0]
+        gid = int(part.local_to_global[0])
+        with pytest.raises(KeyError) as excinfo:
+            part.to_local_array(np.array([gid, 2**32 + gid]))
+        assert excinfo.value.args[0] == 2**32 + gid
+        assert not part.has_proxy(2**32 + gid)
+
+    def test_negative_ids_miss_by_their_own_value(self, partitions):
+        part = partitions[0]
+        with pytest.raises(KeyError) as excinfo:
+            part.to_local_array(np.array([-1]))
+        assert excinfo.value.args[0] == -1
+        assert not part.has_proxy(-1)
+        with pytest.raises(KeyError):
+            part.to_local(-1)
