@@ -41,6 +41,9 @@ class AppContext:
         feature_rounds: Aggregation rounds the feature apps run.
         compression: Payload compression mode the feature apps declare on
             their wide fields (``none``/``delta``/``fp16``).
+        weight_seed: Seed of the random edge weights added to unweighted
+            inputs of weighted apps (sssp), so a verifier can rebuild
+            the same weighted graph.
     """
 
     num_global_nodes: int
@@ -54,13 +57,17 @@ class AppContext:
     feature_dim: int = 8
     feature_rounds: int = 3
     compression: str = "none"
+    weight_seed: int = 42
 
 
 @dataclass
 class StepOutcome:
     """Result of one local super-step on one host."""
 
-    #: Boolean mask over local IDs: proxies written during the step.
+    #: Boolean mask over local IDs: proxies written during the step.  It
+    #: may be a shared, read-only array — dense pull kernels return
+    #: ``part.graph.has_in_edges()`` every round — so callers copy it
+    #: before mutating.
     updated: np.ndarray
     #: Work performed (drives the simulated computation time).
     work: WorkStats

@@ -121,12 +121,10 @@ class _FeatureAggregation(VertexProgram):
         aggregate_neighbor_rows(
             state["acc"], state["feat"], state["edge_src"], dst
         )
-        updated = np.zeros(part.num_nodes, dtype=bool)
-        updated[dst] = True
         work = WorkStats(
             edges_processed=len(dst), nodes_processed=part.num_nodes
         )
-        return StepOutcome(updated=updated, work=work)
+        return StepOutcome(updated=part.graph.has_in_edges(), work=work)
 
     def _apply_at_masters(
         self, part: LocalPartition, state: Dict

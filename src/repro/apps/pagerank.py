@@ -93,12 +93,10 @@ class PageRank(VertexProgram):
         src = state["edge_src"]
         dst = state["edge_dst"]
         np.add.at(acc, dst, contrib[src])
-        updated = np.zeros(part.num_nodes, dtype=bool)
-        updated[dst] = True
         work = WorkStats(
             edges_processed=len(dst), nodes_processed=part.num_nodes
         )
-        return StepOutcome(updated=updated, work=work)
+        return StepOutcome(updated=part.graph.has_in_edges(), work=work)
 
     def _apply_at_masters(
         self, part: LocalPartition, state: Dict
@@ -117,11 +115,13 @@ class PageRank(VertexProgram):
         new_rank = (1.0 - damping) + damping * acc[:m]
         state["residual"] = float(np.abs(new_rank - rank[:m]).sum())
         rank[:m] = new_rank
-        new_contrib = np.where(
-            out_degree[:m] > 0, new_rank / np.maximum(out_degree[:m], 1), 0.0
+        new_contrib = np.zeros(m, dtype=np.float64)
+        np.divide(
+            new_rank, out_degree[:m], out=new_contrib,
+            where=out_degree[:m] > 0,
         )
         broadcast_dirty = np.zeros(part.num_nodes, dtype=bool)
-        broadcast_dirty[:m] = new_contrib != contrib[:m]
+        np.not_equal(new_contrib, contrib[:m], out=broadcast_dirty[:m])
         contrib[:m] = new_contrib
         acc[:m] = 0.0
         return broadcast_dirty

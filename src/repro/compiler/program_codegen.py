@@ -359,8 +359,7 @@ def _emit_dense_pull(
             f"aggregate_neighbor_rows({phase.target}, "
             f"{phase.source_rows}, src, dst)",
         )
-        out.emit(2, "updated = np.zeros(part.num_nodes, dtype=bool)")
-        out.emit(2, "updated[dst] = True")
+        out.emit(2, "updated = part.graph.has_in_edges()")
     else:
         reduce = _target_reduce(spec, phase)
         kernel = _render_fragment(phase.kernel, src="{f}[src]", local="{f}")
@@ -374,8 +373,7 @@ def _emit_dense_pull(
             out.emit(
                 2, f"{_SCATTER_SRC[reduce]}({phase.target}, dst, {kernel})"
             )
-            out.emit(2, "updated = np.zeros(part.num_nodes, dtype=bool)")
-            out.emit(2, "updated[dst] = True")
+            out.emit(2, "updated = part.graph.has_in_edges()")
     out.emit(2, "work = WorkStats(")
     out.emit(
         2, "    edges_processed=len(dst), nodes_processed=part.num_nodes"

@@ -146,7 +146,7 @@ def exchange_address_books(
     for part in partitioned.partitions:
         book = books[part.host]
         out_deg = part.graph.out_degree()
-        in_deg = part.graph.in_degree()
+        has_in = part.graph.has_in_edges()
         mirror_lids = part.mirror_locals()
         owners = part.mirror_master_host
         for peer in range(num_hosts):
@@ -154,16 +154,16 @@ def exchange_address_books(
                 continue
             mine = mirror_lids[owners == peer]
             book.mirrors_all[peer] = mine
-            book.mirrors_reduce[peer] = mine[in_deg[mine] > 0]
+            book.mirrors_reduce[peer] = mine[has_in[mine]]
             book.mirrors_broadcast[peer] = mine[out_deg[mine] > 0]
             book.mirrors_any[peer] = mine[
-                (in_deg[mine] > 0) | (out_deg[mine] > 0)
+                has_in[mine] | (out_deg[mine] > 0)
             ]
 
     # Exchange phase: ship (gids, has_in, has_out) to each owning peer.
     for part in partitioned.partitions:
         book = books[part.host]
-        in_deg = part.graph.in_degree()
+        has_in = part.graph.has_in_edges()
         out_deg = part.graph.out_degree()
         for peer in range(num_hosts):
             if peer == part.host:
@@ -173,7 +173,7 @@ def exchange_address_books(
                 continue
             payload = _encode_exchange(
                 part.local_to_global[mine],
-                in_deg[mine] > 0,
+                has_in[mine],
                 out_deg[mine] > 0,
             )
             transport.send(part.host, peer, payload)

@@ -59,6 +59,7 @@ class CSRGraph:
                 raise GraphError("weights must have one entry per edge")
         self._weights = weights
         self._in_csr: Optional["CSRGraph"] = None
+        self._has_in_edges: Optional[np.ndarray] = None
 
     # -- construction ------------------------------------------------------
 
@@ -150,6 +151,21 @@ class CSRGraph:
             raise IndexError(f"node {node} out of range")
         return int(degrees[node])
 
+    def has_in_edges(self) -> np.ndarray:
+        """Read-only mask of the nodes with at least one in-edge.
+
+        Built once and cached: it is the write set of every dense pull
+        kernel and the "has local in-edge" flag of the memoization
+        exchange, and the graph never changes.  Callers that need a
+        mutable mask must copy it.
+        """
+        if self._has_in_edges is None:
+            mask = np.zeros(self.num_nodes, dtype=bool)
+            mask[self._indices] = True
+            mask.flags.writeable = False
+            self._has_in_edges = mask
+        return self._has_in_edges
+
     def neighbors(self, node: int) -> np.ndarray:
         """Out-neighbors of ``node`` as a view into the index array."""
         if not 0 <= node < self.num_nodes:
@@ -205,3 +221,10 @@ class CSRGraph:
         return True
 
     __hash__ = None  # mutable caches inside; identity hashing would mislead
+
+    def __getstate__(self):
+        # The in-edge mask is cheap to rebuild, and an unpickled copy of
+        # it could come back writeable.
+        state = self.__dict__.copy()
+        state["_has_in_edges"] = None
+        return state

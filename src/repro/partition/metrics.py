@@ -104,25 +104,25 @@ def verify_partition(partitioned: PartitionedGraph) -> List[str]:
                 f"host {part.host}: holds a mirror of a node it owns"
             )
         out_deg = part.graph.out_degree()
-        in_deg = part.graph.in_degree()
+        has_in = part.graph.has_in_edges()
         mirror_slice = slice(part.num_masters, part.num_nodes)
         mirror_out = out_deg[mirror_slice]
-        mirror_in = in_deg[mirror_slice]
+        mirror_in = has_in[mirror_slice]
         if not may_out and np.any(mirror_out > 0):
             violations.append(
                 f"host {part.host}: {strategy.value} mirror with out-edges"
             )
-        if not may_in and np.any(mirror_in > 0):
+        if not may_in and np.any(mirror_in):
             violations.append(
                 f"host {part.host}: {strategy.value} mirror with in-edges"
             )
-        if not may_both and np.any((mirror_out > 0) & (mirror_in > 0)):
+        if not may_both and np.any((mirror_out > 0) & mirror_in):
             violations.append(
                 f"host {part.host}: {strategy.value} mirror with both edge "
                 "directions"
             )
         if not partitioned.has_edgeless_mirrors and np.any(
-            (mirror_out == 0) & (mirror_in == 0)
+            (mirror_out == 0) & ~mirror_in
         ):
             violations.append(
                 f"host {part.host}: mirror proxy with no incident edges"

@@ -247,7 +247,7 @@ def patch_address_books(
                 getattr(book, attr).update(getattr(old, attr))
             continue
         out_deg = part.graph.out_degree()
-        in_deg = part.graph.in_degree()
+        has_in = part.graph.has_in_edges()
         mirror_lids = part.mirror_locals()
         owners = part.mirror_master_host
         for peer in range(num_hosts):
@@ -255,17 +255,17 @@ def patch_address_books(
                 continue
             mine = mirror_lids[owners == peer]
             book.mirrors_all[peer] = mine
-            book.mirrors_reduce[peer] = mine[in_deg[mine] > 0]
+            book.mirrors_reduce[peer] = mine[has_in[mine]]
             book.mirrors_broadcast[peer] = mine[out_deg[mine] > 0]
             book.mirrors_any[peer] = mine[
-                (in_deg[mine] > 0) | (out_deg[mine] > 0)
+                has_in[mine] | (out_deg[mine] > 0)
             ]
 
     # Exchange phase: only changed hosts ship (gids, has_in, has_out).
     for host in sorted(changed):
         part = new_partitioned.partitions[host]
         book = books[host]
-        in_deg = part.graph.in_degree()
+        has_in = part.graph.has_in_edges()
         out_deg = part.graph.out_degree()
         for peer in range(num_hosts):
             if peer == host:
@@ -275,7 +275,7 @@ def patch_address_books(
                 continue
             payload = _encode_exchange(
                 part.local_to_global[mine],
-                in_deg[mine] > 0,
+                has_in[mine],
                 out_deg[mine] > 0,
             )
             transport.send(host, peer, payload)

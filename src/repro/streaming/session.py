@@ -286,6 +286,7 @@ class StreamingSession:
             tolerance=self._tolerance,
             max_iterations=self._max_iterations,
             k=self._k,
+            weight_seed=self.ctx.weight_seed,
         )
         if self.app.needs_global_degrees:
             ctx.global_out_degree = np.bincount(

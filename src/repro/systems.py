@@ -102,6 +102,7 @@ def prepare_input(
         feature_dim=feature_dim,
         feature_rounds=feature_rounds,
         compression=compression,
+        weight_seed=weight_seed,
     )
     if app.needs_global_degrees:
         ctx.global_out_degree = np.bincount(

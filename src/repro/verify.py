@@ -165,6 +165,7 @@ def verify_run(
         result.app,
         edges,
         source=executor.ctx.source,
+        weight_seed=executor.ctx.weight_seed,
         tolerance=executor.ctx.tolerance,
         max_iterations=executor.ctx.max_iterations,
         k=executor.ctx.k,

@@ -10,6 +10,7 @@ from repro.core.memoization import (
 )
 from repro.errors import SerializationError, SyncError
 from repro.network.transport import InProcessTransport
+from repro.partition import make_partitioner
 from repro.partition.cartesian import CartesianVertexCut
 from repro.partition.edge_cut import IncomingEdgeCut, OutgoingEdgeCut
 
@@ -92,6 +93,41 @@ class TestAddressBooks:
                 )
                 assert np.array_equal(
                     book.mirrors_broadcast[peer], expect_bcast
+                )
+
+    @pytest.mark.parametrize("num_hosts", [2, 4])
+    @pytest.mark.parametrize(
+        "policy", ["oec", "iec", "cvc", "hvc", "jagged", "random"]
+    )
+    def test_in_edge_subsets_match_in_degree(
+        self, small_rmat, policy, num_hosts
+    ):
+        """The reduce/any subsets on both sides equal their in-degree
+        definition, on every policy."""
+        partitioned = make_partitioner(policy).partition(
+            small_rmat, num_hosts
+        )
+        books, _ = exchange(partitioned)
+        for part in partitioned.partitions:
+            book = books[part.host]
+            has_in = part.graph.in_degree() > 0
+            has_out = part.graph.out_degree() > 0
+            for peer, mirrors in book.mirrors_all.items():
+                assert np.array_equal(
+                    book.mirrors_reduce[peer], mirrors[has_in[mirrors]]
+                )
+                assert np.array_equal(
+                    book.mirrors_any[peer],
+                    mirrors[has_in[mirrors] | has_out[mirrors]],
+                )
+                masters = books[peer].masters_all[part.host]
+                assert np.array_equal(
+                    books[peer].masters_reduce[part.host],
+                    masters[has_in[mirrors]],
+                )
+                assert np.array_equal(
+                    books[peer].masters_any[part.host],
+                    masters[has_in[mirrors] | has_out[mirrors]],
                 )
 
     def test_oec_has_empty_broadcast_subsets(self, small_rmat):

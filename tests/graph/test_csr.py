@@ -1,7 +1,11 @@
 """Unit tests for repro.graph.csr."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
@@ -129,6 +133,43 @@ class TestTranspose:
     def test_double_transpose_equals_original(self):
         g = build(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
         assert g.transpose().transpose() == g
+
+
+@st.composite
+def random_graphs(draw):
+    """Graphs with isolated nodes, parallel edges and no edges at all."""
+    num_nodes = draw(st.integers(min_value=0, max_value=40))
+    num_edges = draw(st.integers(min_value=0, max_value=80))
+    if num_nodes == 0:
+        num_edges = 0
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    # Endpoints drawn from a prefix leave the tail nodes isolated.
+    span = draw(st.integers(min_value=1, max_value=max(num_nodes, 1)))
+    src = rng.integers(0, span, num_edges)
+    dst = rng.integers(0, span, num_edges)
+    return CSRGraph.from_edges(num_nodes, src, dst)
+
+
+class TestHasInEdges:
+    @given(graph=random_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scatter_definition(self, graph):
+        expected = np.zeros(graph.num_nodes, dtype=bool)
+        expected[graph.indices] = True
+        mask = graph.has_in_edges()
+        assert mask.dtype == bool
+        assert np.array_equal(mask, expected)
+        assert np.array_equal(mask, graph.in_degree() > 0)
+        assert not mask.flags.writeable
+        assert graph.has_in_edges() is mask
+
+    def test_pickled_copy_rebuilds_read_only(self):
+        g = build(3, [(0, 1)])
+        g.has_in_edges()
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            mask = pickle.loads(pickle.dumps(g, protocol)).has_in_edges()
+            assert mask.tolist() == [False, True, False]
+            assert not mask.flags.writeable
 
 
 class TestEquality:

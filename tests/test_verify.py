@@ -64,6 +64,17 @@ class TestVerifyRun:
         assert isinstance(outcome, Verification)
         assert outcome.matched, outcome
 
+    def test_weighted_run_verifies_under_its_weight_seed(self, small_rmat):
+        """The verifier re-weights the input with the run's own seed, not
+        the default one."""
+        result = run_app(
+            "d-galois", "sssp", small_rmat, num_hosts=2, policy="cvc",
+            weight_seed=7,
+        )
+        outcome = verify_run(result, small_rmat, raise_on_mismatch=False)
+        assert outcome.matched, outcome
+        assert result.executor.ctx.weight_seed == 7
+
     @pytest.mark.parametrize("system", ["gemini", "gunrock", "d-hybrid"])
     def test_baselines_verify(self, small_rmat, system):
         result = run_app(system, "bfs", small_rmat, num_hosts=4)
